@@ -51,6 +51,7 @@ from ..netlist import Netlist
 from ..nodes import HdlError, Node, walk
 from ..signal import Signal
 from ..types import mask_for
+from .core import BackendState, SignalLike, SimCore, join_rows
 
 try:
     import numpy as np
@@ -1362,7 +1363,12 @@ class _Emitter:
 
 
 class BatchedBackend:
-    """Netlist compiled to limb-vectorised numpy code over N lanes."""
+    """Netlist compiled to limb-vectorised numpy code over N lanes.
+
+    ``eval_comb`` and ``step`` (``(state, mems, env, ln, consts)``) are
+    the generated functions themselves; :class:`LaneState` owns the
+    arrays they run on.
+    """
 
     def __init__(self, netlist: Netlist):
         global _cache_hits, _cache_misses
@@ -1395,16 +1401,16 @@ class BatchedBackend:
         if cached is not None:
             _cache_hits += 1
             _BATCH_CACHE.move_to_end(fp)
-            self.source, self._eval_comb, self._step, self.kvalues = cached
+            self.source, self.eval_comb, self.step, self.kvalues = cached
             return
         _cache_misses += 1
         self.source, self.kvalues = _Emitter(self).generate()
         namespace = _make_namespace()
         exec(compile(self.source, f"<batched:{netlist.root.path}>", "exec"),
              namespace)
-        self._eval_comb = namespace["eval_comb"]
-        self._step = namespace["step"]
-        _BATCH_CACHE[fp] = (self.source, self._eval_comb, self._step,
+        self.eval_comb = namespace["eval_comb"]
+        self.step = namespace["step"]
+        _BATCH_CACHE[fp] = (self.source, self.eval_comb, self.step,
                             self.kvalues)
         while len(_BATCH_CACHE) > _CACHE_CAPACITY:
             _BATCH_CACHE.popitem(last=False)
@@ -1437,17 +1443,104 @@ class BatchedBackend:
         """Pre-broadcast constant arrays referenced by the generated code."""
         return [np.full(lanes, v, dtype=np.uint64) for v in self.kvalues]
 
-    def eval_comb(self, state, mems, env, ln, consts) -> None:
-        self._eval_comb(state, mems, env, ln, consts)
 
-    def step(self, state, mems, env, ln, consts) -> None:
-        self._step(state, mems, env, ln, consts)
+class LaneState(BackendState):
+    """``lanes`` lockstep instances of one netlist in limb rows: the
+    batched backend's state behind the protocol of
+    :mod:`repro.hdl.sim.core`.  A snapshot's ``values`` stacks the state
+    rows over the env rows."""
+
+    limb_bits = 64
+
+    def __init__(self, kernel: BatchedBackend, lanes: int):
+        self.lanes = lanes
+        self._sslot = kernel.state_slot
+        self._cslot = kernel.comb_slot
+        self._mslot = kernel.mem_slot
+        self._extra = (np.arange(lanes, dtype=np.intp),
+                       kernel.new_consts(lanes))
+        nl = kernel.netlist
+        base = kernel.n_state_rows
+        self.rows = ([self._sslot[s] for s in list(nl.inputs) + list(nl.regs)]
+                     + [(base + self._cslot[s][0], self._cslot[s][1])
+                        for s in nl.comb])
+        super().__init__(kernel)
+
+    def _alloc(self):
+        k, lanes = self.kernel, self.lanes
+        return k.new_state(lanes), k.new_env(lanes), k.new_mems(lanes)
+
+    def _check_lane(self, lane: int) -> None:
+        if not 0 <= lane < self.lanes:
+            raise IndexError(f"lane {lane} out of range (lanes={self.lanes})")
+
+    def _column(self, lane: Optional[int]):
+        if lane is None:
+            return slice(None)
+        self._check_lane(lane)
+        return lane
+
+    def poke(self, sig: Signal, value, lane: Optional[int] = None) -> None:
+        """``value`` is one int, or (all lanes) a sequence of per-lane
+        ints."""
+        row0, L = self._sslot[sig]
+        col = self._column(lane)
+        for j in range(L):
+            sh = 64 * j
+            self.state[row0 + j, col] = (
+                (value >> sh) & _M64 if isinstance(value, int)
+                else [(v >> sh) & _M64 for v in value])
+        self.dirty = True
+
+    def peek(self, sig: Signal, lane: int = 0) -> int:
+        self._check_lane(lane)
+        return self.peek_all(sig)[lane]
+
+    def peek_all(self, sig: Signal) -> List[int]:
+        self.settle()
+        slot = self._sslot.get(sig)
+        arr, (row0, L) = ((self.state, slot) if slot is not None
+                          else (self.env, self._cslot[sig]))
+        out = arr[row0].tolist()
+        for j in range(1, L):
+            out = [v | (w << (64 * j))
+                   for v, w in zip(out, arr[row0 + j].tolist())]
+        return out
+
+    def poke_mem(self, mem: Mem, addr: int, value: int,
+                 lane: Optional[int] = None) -> None:
+        row0, L = self._mslot[mem]
+        col = self._column(lane)
+        for j in range(L):
+            self.mems[row0 + j][addr, col] = (value >> (64 * j)) & _M64
+        self.dirty = True
+
+    def peek_mem(self, mem: Mem, addr: int, lane: int = 0) -> int:
+        self._check_lane(lane)
+        row0, L = self._mslot[mem]
+        value = 0
+        for j in range(L):
+            value |= int(self.mems[row0 + j][addr, lane]) << (64 * j)
+        return value
+
+    def values(self, lane: int = 0) -> List[int]:
+        self._check_lane(lane)
+        self.settle()
+        col = self.state[:, lane].tolist() + self.env[:, lane].tolist()
+        return join_rows(col, self.rows)
+
+    def _capture(self):
+        return np.concatenate([self.state, self.env], axis=0)
+
+    def mem_planes(self) -> Dict[Mem, list]:
+        out = {}
+        for m in self._wmems:
+            row0, L = self._mslot[m]
+            out[m] = [self.mems[row0 + j].copy() for j in range(L)]
+        return out
 
 
-SignalLike = Union[Signal, str]
-
-
-class BatchSimulator:
+class BatchSimulator(SimCore):
     """Testbench driver over N lanes of one design.
 
     Mirrors the :class:`~repro.hdl.sim.engine.Simulator` API with an
@@ -1465,122 +1558,16 @@ class BatchSimulator:
         if lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {lanes}")
         if isinstance(design, Module):
-            self.netlist = elaborate(design)
-        else:
-            self.netlist = design
-        self.lanes = lanes
-        self.cycle = 0
-        # Tag synthesis first (the shadow nets become part of the compiled
-        # program and fault-targetable), then fault instrumentation —
-        # mirroring the engine Simulator's ordering.
-        self.tag_plan = None
-        self.tags = None
-        if tag_tracking:
-            from ...ifc.synth import synthesize_tags
-
-            if lattice is None:
-                raise ValueError(
-                    "tag_tracking=True needs the security lattice the "
-                    "design's labels live in (pass lattice=...)")
-            self.netlist, self.tag_plan = synthesize_tags(
-                self.netlist, lattice, check_downgrades=tag_check_downgrades,
-                precise=tag_precise, audit=tag_audit)
-        # Instrument before backend construction so the compiled program
-        # includes the fault-control inputs (see repro.faults.plan).  The
-        # engine's batched path pre-instruments and hands controls over by
-        # assigning ``fault_controls`` after construction instead.
-        self.fault_controls = {}
-        self._fault_applier = None
-        if fault_plan is not None and fault_targets is None:
-            fault_targets = fault_plan.signal_targets()
-        if fault_targets:
-            from ...faults.plan import instrument
-
-            self.netlist, self.fault_controls = instrument(
-                self.netlist, fault_targets)
-        self._be = BatchedBackend(self.netlist)
-        self._input_set = frozenset(self.netlist.inputs)
-        self._ln = np.arange(lanes, dtype=np.intp)
-        self._state = self._be.new_state(lanes)
-        self._env = self._be.new_env(lanes)
-        self._mems = self._be.new_mems(lanes)
-        self._consts = self._be.new_consts(lanes)
-        self._dirty = True
-        self._watchers = []
-        if self.tag_plan is not None:
-            from ...ifc.synth import TagView
-
-            self.tags = TagView(self, self.tag_plan)
-        if fault_plan is not None:
-            self.load_fault_plan(fault_plan)
-
-    # -- resolution -------------------------------------------------------------
-    def _resolve(self, sig: SignalLike) -> Signal:
-        if isinstance(sig, Signal):
-            return sig
-        return self.netlist.signal_by_path(sig)
-
-    def _resolve_mem(self, mem: Union[Mem, str]) -> Mem:
-        if isinstance(mem, Mem):
-            return mem
-        return self.netlist.mem_by_path(mem)
-
-    # -- fault injection ---------------------------------------------------------
-    def load_fault_plan(self, plan) -> None:
-        """Arm a fault plan; lane-targeted faults hit only their lane."""
-        from ...faults.plan import FaultApplier
-
-        self._fault_applier = FaultApplier(
-            plan, self.fault_controls, self.netlist, lanes=self.lanes)
-
-    def clear_fault_plan(self) -> None:
-        self._fault_applier = None
-        for ctrl in self.fault_controls.values():
-            for sig in (ctrl.flip, ctrl.stuck1, ctrl.stuck0):
-                self.poke_all(sig, 0)
-
-    @property
-    def fault_events(self) -> int:
-        ap = self._fault_applier
-        return ap.events if ap is not None else 0
-
-    def _apply_faults(self, ap) -> None:
-        from ...faults.plan import faulted_value
-
-        updates, mem_ops = ap.at(self.cycle)
-        for sig, value in updates.items():
-            self.poke_all(sig, value)
-        for mem, addr, kind, mask, lane in mem_ops:
-            lanes = range(self.lanes) if lane is None else (lane,)
-            for ln in lanes:
-                cur = self.peek_mem(mem, addr, ln)
-                self.poke_mem(mem, addr,
-                              faulted_value(cur, kind, mask, mem.width),
-                              lane=ln)
-
-    def _check_lane(self, lane: int) -> None:
-        if not 0 <= lane < self.lanes:
-            raise IndexError(f"lane {lane} out of range (lanes={self.lanes})")
+            design = elaborate(design)
+        self._prepare(design, fault_targets, fault_plan, tag_tracking,
+                      lattice, tag_precise, tag_check_downgrades, tag_audit)
+        self._start(LaneState(BatchedBackend(self.netlist), lanes),
+                    fault_plan)
 
     # -- poke/peek --------------------------------------------------------------
-    def _checked_input(self, sig: SignalLike, value: int) -> Signal:
-        sig = self._resolve(sig)
-        if not 0 <= value <= mask_for(sig.width):
-            raise ValueError(
-                f"value {value} does not fit {sig.width}-bit signal {sig.path}"
-            )
-        if sig not in self._input_set:
-            raise HdlError(f"{sig.path} is not a free input of this netlist")
-        return sig
-
     def poke(self, sig: SignalLike, lane: int, value: int) -> None:
         """Drive a free input on one lane."""
-        sig = self._checked_input(sig, value)
-        self._check_lane(lane)
-        row0, L = self._be.state_slot[sig]
-        for j in range(L):
-            self._state[row0 + j, lane] = (value >> (64 * j)) & _M64
-        self._dirty = True
+        self._be.poke(self._checked_input(sig, value), value, lane)
 
     def poke_all(self, sig: SignalLike, value) -> None:
         """Drive a free input on every lane.
@@ -1589,167 +1576,28 @@ class BatchSimulator:
         per-lane ints of length ``lanes``.
         """
         if isinstance(value, int):
-            sig = self._checked_input(sig, value)
-            row0, L = self._be.state_slot[sig]
-            for j in range(L):
-                self._state[row0 + j] = (value >> (64 * j)) & _M64
-        else:
-            values = list(value)
-            if len(values) != self.lanes:
-                raise ValueError(
-                    f"expected {self.lanes} per-lane values, got {len(values)}"
-                )
-            sig = self._resolve(sig)
-            for lane, v in enumerate(values):
-                self.poke(sig, lane, v)
+            self._be.poke(self._checked_input(sig, value), value)
             return
-        self._dirty = True
-
-    def _slot_of(self, sig: Signal) -> Tuple[object, int, int]:
-        if sig in self._be.state_slot:
-            row0, L = self._be.state_slot[sig]
-            return self._state, row0, L
-        row0, L = self._be.comb_slot[sig]
-        return self._env, row0, L
+        values = list(value)
+        if len(values) != self.lanes:
+            raise ValueError(
+                f"expected {self.lanes} per-lane values, got {len(values)}"
+            )
+        sig = self._resolve(sig)
+        for v in values:
+            self._checked_input(sig, v)
+        self._be.poke(sig, values)
 
     def peek(self, sig: SignalLike, lane: int = 0) -> int:
         """Read any signal's settled value on one lane."""
-        sig = self._resolve(sig)
-        self._check_lane(lane)
-        self._settle()
-        arr, row0, L = self._slot_of(sig)
-        value = 0
-        for j in range(L):
-            value |= int(arr[row0 + j, lane]) << (64 * j)
-        return value
+        return self._be.peek(self._resolve(sig), lane)
 
     def peek_all(self, sig: SignalLike) -> List[int]:
         """Read a signal on every lane; returns a list of ints."""
-        sig = self._resolve(sig)
-        self._settle()
-        arr, row0, L = self._slot_of(sig)
-        out = [0] * self.lanes
-        for j in range(L):
-            row = arr[row0 + j]
-            shift = 64 * j
-            for lane in range(self.lanes):
-                out[lane] |= int(row[lane]) << shift
-        return out
+        return self._be.peek_all(self._resolve(sig))
 
     def values(self, lane: int = 0) -> List[int]:
-        """Settled values of inputs, registers, then comb signals on one
-        lane — the bulk-observation primitive behind
-        :meth:`~repro.hdl.sim.engine.Simulator.values`.
-
-        One column copy per storage array instead of one :meth:`peek`
-        (resolve + settle + per-limb reads) per signal.
-        """
-        self._check_lane(lane)
-        self._settle()
-        state_col = self._state[:, lane].tolist()
-        env_col = self._env[:, lane].tolist()
-        out: List[int] = []
-        nl = self.netlist
-        for sigs, col, slots in (
-                (list(nl.inputs) + list(nl.regs), state_col,
-                 self._be.state_slot),
-                (nl.comb, env_col, self._be.comb_slot)):
-            for sig in sigs:
-                row0, L = slots[sig]
-                if L == 1:
-                    out.append(col[row0])
-                else:
-                    value = 0
-                    for j in range(L):
-                        value |= col[row0 + j] << (64 * j)
-                    out.append(value)
-        return out
-
-    def peek_mem(self, mem: Union[Mem, str], addr: int, lane: int = 0) -> int:
-        mem = self._resolve_mem(mem)
-        self._check_lane(lane)
-        row0, L = self._be.mem_slot[mem]
-        value = 0
-        for j in range(L):
-            value |= int(self._mems[row0 + j][addr, lane]) << (64 * j)
-        return value
-
-    def poke_mem(self, mem: Union[Mem, str], addr: int, value: int,
-                 lane: Optional[int] = None) -> None:
-        """Backdoor memory write (one lane, or all lanes when ``lane`` is
-        None)."""
-        mem = self._resolve_mem(mem)
-        if not 0 <= value <= mask_for(mem.width):
-            raise ValueError(f"value {value} does not fit memory {mem.path}")
-        row0, L = self._be.mem_slot[mem]
-        for j in range(L):
-            limb = (value >> (64 * j)) & _M64
-            if lane is None:
-                self._mems[row0 + j][addr] = limb
-            else:
-                self._check_lane(lane)
-                self._mems[row0 + j][addr, lane] = limb
-        self._dirty = True
-
-    # -- clocking ---------------------------------------------------------------
-    def _settle(self) -> None:
-        if not self._dirty:
-            return
-        self._be.eval_comb(self._state, self._mems, self._env, self._ln,
-                           self._consts)
-        self._dirty = False
-
-    def value_signals(self) -> List[Signal]:
-        """Every stateful and combinational signal, in :meth:`values` order
-        (inputs, then registers, then combinational signals)."""
-        return (list(self.netlist.inputs) + list(self.netlist.regs)
-                + list(self.netlist.comb))
-
-    def add_watcher(self, fn) -> None:
-        """Register a callable invoked (with this simulator, all lanes
-        settled) before each step — mirrors the engine Simulator so traces
-        and trackers work on a standalone batched testbench."""
-        self._watchers.append(fn)
-
-    def remove_watcher(self, fn) -> None:
-        """Detach a watcher previously registered with ``add_watcher``."""
-        if fn in self._watchers:
-            self._watchers.remove(fn)
-
-    def step(self, n: int = 1) -> None:
-        """Advance all lanes ``n`` clock cycles."""
-        step = self._be._step
-        ap = self._fault_applier
-        if ap is None and not self._watchers:
-            st, mems, env, ln, K = (self._state, self._mems, self._env,
-                                    self._ln, self._consts)
-            for _ in range(n):
-                step(st, mems, env, ln, K)
-            self.cycle += n
-        else:
-            # Faults poke state/mem arrays in place, so re-read the
-            # references each iteration and track the cycle per step.
-            for _ in range(n):
-                if ap is not None:
-                    self._apply_faults(ap)
-                if self._watchers:
-                    self._settle()
-                    for w in self._watchers:
-                        w(self)
-                step(self._state, self._mems, self._env, self._ln,
-                     self._consts)
-                self.cycle += 1
-                self._dirty = True
-        if n:
-            self._dirty = True
-
-    def reset(self) -> None:
-        self._state = self._be.new_state(self.lanes)
-        self._env = self._be.new_env(self.lanes)
-        self._mems = self._be.new_mems(self.lanes)
-        self.cycle = 0
-        self._dirty = True
-        if self.tags is not None:
-            self.tags.reseed()
-        if self._fault_applier is not None:
-            self._fault_applier.reset()
+        """Settled values of :meth:`value_signals` on one lane — one
+        column copy per storage array instead of one :meth:`peek` per
+        signal."""
+        return self._be.values(lane)

@@ -21,11 +21,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from ..memory import Mem
 from ..netlist import Netlist
 from ..nodes import Node
-from ..signal import Signal
 from ..types import mask_for
+from .core import ListLayout
 
 # -- module-level compile cache ------------------------------------------------
 #
@@ -59,58 +58,31 @@ def compile_cache_stats() -> Dict[str, int]:
     }
 
 
-class CompiledBackend:
-    """Netlist compiled to straight-line Python."""
+class CompiledBackend(ListLayout):
+    """Netlist compiled to straight-line Python.
+
+    ``eval_comb`` and ``step`` are the generated functions themselves.
+    """
 
     def __init__(self, netlist: Netlist):
         global _cache_hits, _cache_misses
-        self.netlist = netlist
-        self.state_index: Dict[Signal, int] = {}
-        self.comb_index: Dict[Signal, int] = {}
-        self.mem_index: Dict[Mem, int] = {}
-
-        for i, sig in enumerate(list(netlist.inputs) + list(netlist.regs)):
-            self.state_index[sig] = i
-        for i, sig in enumerate(netlist.comb):
-            self.comb_index[sig] = i
-        for i, mem in enumerate(netlist.mems):
-            self.mem_index[mem] = i
-
+        super().__init__(netlist)
         fp = netlist.fingerprint()
         cached = _COMPILE_CACHE.get(fp)
         if cached is not None:
             _cache_hits += 1
             _COMPILE_CACHE.move_to_end(fp)
-            self.source, self._eval_comb, self._step = cached
+            self.source, self.eval_comb, self.step = cached
             return
         _cache_misses += 1
         self.source = self._generate()
         namespace: Dict[str, object] = {}
         exec(compile(self.source, f"<netlist:{netlist.root.path}>", "exec"), namespace)
-        self._eval_comb = namespace["eval_comb"]
-        self._step = namespace["step"]
-        _COMPILE_CACHE[fp] = (self.source, self._eval_comb, self._step)
+        self.eval_comb = namespace["eval_comb"]
+        self.step = namespace["step"]
+        _COMPILE_CACHE[fp] = (self.source, self.eval_comb, self.step)
         while len(_COMPILE_CACHE) > _CACHE_CAPACITY:
             _COMPILE_CACHE.popitem(last=False)
-
-    # -- public API mirroring the interpreter ----------------------------------
-    def new_state(self) -> List[int]:
-        state = [0] * len(self.state_index)
-        for reg in self.netlist.regs:
-            state[self.state_index[reg]] = reg.init
-        return state
-
-    def new_env(self) -> List[int]:
-        return [0] * len(self.comb_index)
-
-    def new_mems(self) -> List[List[int]]:
-        return [list(m.init) for m in self.netlist.mems]
-
-    def eval_comb(self, state: List[int], mems, env: List[int]) -> None:
-        self._eval_comb(state, mems, env)
-
-    def step(self, state: List[int], mems, env: List[int]) -> None:
-        self._step(state, mems, env)
 
     # -- code generation ----------------------------------------------------------
     def _generate(self) -> str:

@@ -1,6 +1,6 @@
 """Simulator driver: poke/peek/step over an elaborated netlist.
 
-The engine wraps one of three backends (interpreter, compiled, or
+The engine holds one of three backends (interpreter, compiled, or
 batched) behind a uniform testbench API:
 
 >>> sim = Simulator(my_module)          # elaborates + compiles
@@ -13,28 +13,24 @@ current evaluation, and ``peek`` / ``step`` recompute as needed.
 
 ``backend="batched"`` runs ``lanes`` lockstep instances on numpy vectors
 (see :mod:`repro.hdl.sim.batched`); through this single-instance API all
-lanes receive the same pokes and ``peek`` reads lane 0 — use the
-underlying :class:`~repro.hdl.sim.batched.BatchSimulator` (``sim.lanes_sim``)
-for per-lane control.
+lanes receive the same pokes and ``peek`` reads lane 0 — ``sim.lanes_sim``
+is the same simulator through the lane-addressed
+:class:`~repro.hdl.sim.batched.BatchSimulator` API.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 from ...obs import telemetry as _telemetry
 from ..elaborate import elaborate
 from ..memory import Mem
 from ..module import Module
 from ..netlist import Netlist
-from ..nodes import HdlError
-from ..signal import Signal
-from ..types import mask_for
 from .compiler import CompiledBackend
+from .core import ScalarState, SignalLike, SimCore
 from .interp import InterpBackend
-
-SignalLike = Union[Signal, str]
 
 
 class SimStats:
@@ -54,7 +50,24 @@ class SimStats:
         return self.timed_cycles / self.wall_seconds
 
 
-class Simulator:
+def _lanes(netlist: Netlist, lanes: int):
+    # Imported lazily: the batched backend needs numpy, which is a test
+    # extra, not a runtime dependency of the package.
+    from .batched import BatchedBackend, LaneState
+
+    return LaneState(BatchedBackend(netlist), lanes)
+
+
+#: backend name -> ``make(netlist, lanes)`` building its state
+_BACKENDS = {
+    "interp": lambda netlist, lanes: ScalarState(InterpBackend(netlist), lanes),
+    "compiled": lambda netlist, lanes: ScalarState(CompiledBackend(netlist),
+                                                   lanes),
+    "batched": _lanes,
+}
+
+
+class Simulator(SimCore):
     """Cycle-accurate simulator over a netlist or module."""
 
     def __init__(self, design: Union[Module, Netlist], backend: str = "compiled",
@@ -62,211 +75,41 @@ class Simulator:
                  tag_tracking: bool = False, lattice=None,
                  tag_precise: bool = True, tag_check_downgrades: bool = True,
                  tag_audit: str = "full"):
+        make = _BACKENDS.get(backend)
+        if make is None:
+            raise ValueError(f"unknown backend {backend!r}")
         if isinstance(design, Module):
-            self.netlist = elaborate(design)
-        else:
-            self.netlist = design
+            design = elaborate(design)
+        #: label only: the backend object below carries the behaviour
         self.backend_name = backend
-        self.lanes = lanes
-        self.cycle = 0
         self.stats = SimStats()
-        self._watchers = []
-
-        # Tag synthesis runs first so that the shadow tag nets are part of
-        # the netlist every backend compiles — and so the fault injector
-        # below can target them like any other net (a fault campaign
-        # against the *protected composite*, tag plane included).
-        self.tag_plan = None
-        self.tags = None
-        if tag_tracking:
-            from ...ifc.synth import synthesize_tags
-
-            if lattice is None:
-                raise ValueError(
-                    "tag_tracking=True needs the security lattice the "
-                    "design's labels live in (pass lattice=...)")
-            self.netlist, self.tag_plan = synthesize_tags(
-                self.netlist, lattice, check_downgrades=tag_check_downgrades,
-                precise=tag_precise, audit=tag_audit)
-
-        # Fault instrumentation happens before backend construction so all
-        # backends compile the same (instrumented) netlist.  With every
-        # control input at 0 the instrumented design behaves identically
-        # to the original, so one instrumented simulator serves a whole
-        # campaign of fault plans without recompiling.
-        self.fault_controls = {}
-        self._fault_applier = None
-        if fault_plan is not None and fault_targets is None:
-            fault_targets = fault_plan.signal_targets()
-        if fault_targets:
-            from ...faults.plan import instrument
-
-            self.netlist, self.fault_controls = instrument(
-                self.netlist, fault_targets)
-        self._input_set = frozenset(self.netlist.inputs)
-
-        if lanes != 1 and backend != "batched":
-            raise ValueError(
-                f"lanes={lanes} requires backend='batched' (got {backend!r})"
-            )
-        if backend == "batched":
-            # Imported lazily: the batched backend needs numpy, which is a
-            # test extra, not a runtime dependency of the package.
+        self._prepare(design, fault_targets, fault_plan, tag_tracking,
+                      lattice, tag_precise, tag_check_downgrades, tag_audit)
+        state = make(self.netlist, lanes)
+        if not isinstance(state, ScalarState):
+            # the lane-addressed face of this same simulator: it shares
+            # every attribute (backend, cycle, watchers, fault plan, tags)
             from .batched import BatchSimulator
 
-            self.lanes_sim = BatchSimulator(self.netlist, lanes=lanes)
-            self.lanes_sim.fault_controls = self.fault_controls
-        elif backend == "compiled":
-            self._be = CompiledBackend(self.netlist)
-            self._state: List[int] = self._be.new_state()
-            self._mems: List[List[int]] = self._be.new_mems()
-            self._env: List[int] = self._be.new_env()
-        elif backend == "interp":
-            self._ibe = InterpBackend(self.netlist)
-            self._istate: Dict[Signal, int] = {}
-            for sig in self.netlist.inputs:
-                self._istate[sig] = 0
-            for reg in self.netlist.regs:
-                self._istate[reg] = reg.init
-            self._imems: Dict[Mem, List[int]] = {
-                m: list(m.init) for m in self.netlist.mems
-            }
-            self._ienv: Optional[Dict[Signal, int]] = None
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        self._dirty = True
-        if self.tag_plan is not None:
-            from ...ifc.synth import TagView
-
-            # on the batched backend the view wraps the BatchSimulator so
-            # per-lane labels/violations are addressable; the engine-level
-            # API stays lane-0 either way
-            target = self.lanes_sim if backend == "batched" else self
-            self.tags = TagView(target, self.tag_plan)
-        if fault_plan is not None:
-            self.load_fault_plan(fault_plan)
-
-    # -- signal resolution -----------------------------------------------------
-    def _resolve(self, sig: SignalLike) -> Signal:
-        if isinstance(sig, Signal):
-            return sig
-        return self.netlist.signal_by_path(sig)
-
-    def _resolve_mem(self, mem: Union[Mem, str]) -> Mem:
-        if isinstance(mem, Mem):
-            return mem
-        return self.netlist.mem_by_path(mem)
-
-    # -- fault injection ----------------------------------------------------------
-    def load_fault_plan(self, plan) -> None:
-        """Arm a :class:`~repro.faults.plan.FaultPlan` on this simulator.
-
-        The simulator must have been constructed with ``fault_targets``
-        covering every signal the plan touches (memory faults need no
-        instrumentation).  Fault cycles are absolute ``sim.cycle`` values;
-        the plan is applied at the top of every :meth:`step` iteration,
-        so a faulted register latches its upset value at the commit of
-        the scheduled cycle — exactly between evaluation and commit.
-        """
-        if self.backend_name == "batched":
-            self.lanes_sim.load_fault_plan(plan)
-            return
-        from ...faults.plan import FaultApplier
-
-        self._fault_applier = FaultApplier(
-            plan, self.fault_controls, self.netlist, lanes=1)
-
-    def clear_fault_plan(self) -> None:
-        """Disarm any loaded plan and zero every fault-control input."""
-        if self.backend_name == "batched":
-            self.lanes_sim.clear_fault_plan()
-            return
-        self._fault_applier = None
-        for ctrl in self.fault_controls.values():
-            for sig in (ctrl.flip, ctrl.stuck1, ctrl.stuck0):
-                self.poke(sig, 0)
-
-    @property
-    def fault_events(self) -> int:
-        """(fault, cycle) applications performed so far."""
-        if self.backend_name == "batched":
-            return self.lanes_sim.fault_events
-        ap = self._fault_applier
-        return ap.events if ap is not None else 0
-
-    def _apply_faults(self, ap) -> None:
-        from ...faults.plan import faulted_value
-
-        updates, mem_ops = ap.at(self.cycle)
-        for sig, value in updates.items():
-            self.poke(sig, value)
-        for mem, addr, kind, mask, _lane in mem_ops:
-            cur = self.peek_mem(mem, addr)
-            self.poke_mem(mem, addr, faulted_value(cur, kind, mask, mem.width))
+            self.lanes_sim = BatchSimulator.__new__(BatchSimulator)
+            self.lanes_sim.__dict__ = self.__dict__
+        self._start(state, fault_plan, getattr(self, "lanes_sim", None))
 
     # -- testbench API ------------------------------------------------------------
     def poke(self, sig: SignalLike, value: int) -> None:
-        """Drive a free (input) signal."""
-        sig = self._resolve(sig)
-        if not 0 <= value <= mask_for(sig.width):
-            raise ValueError(
-                f"value {value} does not fit {sig.width}-bit signal {sig.path}"
-            )
-        if sig not in self._input_set:
-            raise HdlError(f"{sig.path} is not a free input of this netlist")
-        if self.backend_name == "compiled":
-            self._state[self._be.state_index[sig]] = value
-        elif self.backend_name == "batched":
-            self.lanes_sim.poke_all(sig, value)
-        else:
-            self._istate[sig] = value
-        self._dirty = True
+        """Drive a free (input) signal (every lane)."""
+        self._be.poke(self._checked_input(sig, value), value)
 
     def peek(self, sig: SignalLike) -> int:
         """Read any signal's current (combinationally settled) value."""
-        sig = self._resolve(sig)
-        if self.backend_name == "batched":
-            return self.lanes_sim.peek(sig, 0)
-        self._settle()
-        if self.backend_name == "compiled":
-            if sig in self._be.state_index:
-                return self._state[self._be.state_index[sig]]
-            return self._env[self._be.comb_index[sig]]
-        env = self._ienv
-        assert env is not None
-        return env[sig]
+        return self._be.peek(self._resolve(sig))
 
     def peek_mem(self, mem: Union[Mem, str], addr: int) -> int:
-        mem = self._resolve_mem(mem)
-        if self.backend_name == "compiled":
-            return self._mems[self._be.mem_index[mem]][addr]
-        if self.backend_name == "batched":
-            return self.lanes_sim.peek_mem(mem, addr, 0)
-        return self._imems[mem][addr]
+        return self._be.peek_mem(self._resolve_mem(mem), addr)
 
     def poke_mem(self, mem: Union[Mem, str], addr: int, value: int) -> None:
-        """Testbench backdoor write into a memory."""
-        mem = self._resolve_mem(mem)
-        if not 0 <= value <= mask_for(mem.width):
-            raise ValueError(f"value {value} does not fit memory {mem.path}")
-        if self.backend_name == "compiled":
-            self._mems[self._be.mem_index[mem]][addr] = value
-        elif self.backend_name == "batched":
-            self.lanes_sim.poke_mem(mem, addr, value)
-        else:
-            self._imems[mem][addr] = value
-        self._dirty = True
-
-    def _settle(self) -> None:
-        if not self._dirty:
-            return
-        if self.backend_name == "compiled":
-            self._be.eval_comb(self._state, self._mems, self._env)
-        elif self.backend_name == "batched":
-            pass  # BatchSimulator settles lazily on its own peeks
-        else:
-            self._ienv = self._ibe.eval_comb(self._istate, self._imems)
-        self._dirty = False
+        """Testbench backdoor write into a memory (every lane)."""
+        self._be.poke_mem(self._checked_mem(mem, value), addr, value)
 
     def step(self, n: int = 1) -> None:
         """Advance ``n`` clock cycles."""
@@ -274,88 +117,22 @@ class Simulator:
         # the whole accounting path two cheap branches
         obs = _telemetry()
         t0 = perf_counter() if obs is not None else 0.0
-        for _ in range(n):
-            if self._fault_applier is not None:
-                self._apply_faults(self._fault_applier)
-            if self._watchers:
-                self._settle()
-                for w in self._watchers:
-                    w(self)
-            if self.backend_name == "compiled":
-                self._be.step(self._state, self._mems, self._env)
-            elif self.backend_name == "batched":
-                self.lanes_sim.step(1)
-            else:
-                self._ibe.step(self._istate, self._imems)
-            self.cycle += 1
-            self._dirty = True
+        SimCore.step(self, n)
         if obs is not None:
             st = self.stats
             st.wall_seconds += perf_counter() - t0
             st.timed_cycles += n
             st.step_calls += 1
 
-    def reset(self) -> None:
-        """Reset registers to init values and memories to initial contents."""
-        if self.backend_name == "compiled":
-            self._state = self._be.new_state()
-            self._mems = self._be.new_mems()
-        elif self.backend_name == "batched":
-            self.lanes_sim.reset()
-        else:
-            for sig in self.netlist.inputs:
-                self._istate[sig] = 0
-            for reg in self.netlist.regs:
-                self._istate[reg] = reg.init
-            self._imems = {m: list(m.init) for m in self.netlist.mems}
-        self.cycle = 0
-        self._dirty = True
-        if self.tags is not None:
-            self.tags.reseed()
-        if self._fault_applier is not None:
-            self._fault_applier.reset()
-
     # -- bulk observation (profilers) -------------------------------------------
-    def value_signals(self) -> List[Signal]:
-        """Every stateful and combinational signal, in snapshot order.
-
-        The order matches :meth:`values`: inputs, then registers, then
-        combinational signals (the same layout all three backends use
-        internally), so ``zip(sim.value_signals(), sim.values())`` pairs
-        each signal with its settled value.
-        """
-        return (list(self.netlist.inputs) + list(self.netlist.regs)
-                + list(self.netlist.comb))
-
     def values(self, lane: int = 0) -> List[int]:
         """Settled values of :meth:`value_signals`, as one flat list.
 
-        This is the profiler's sampling primitive: one call per sampled
-        cycle instead of one ``peek`` per signal, using each backend's
-        native storage (state/env lists for compiled, the value map for
-        interp, the selected lane of the limb arrays for batched).
+        This is the bulk sampling primitive: one call per sampled cycle
+        instead of one ``peek`` per signal (the scalar backends are
+        single-lane: ``lane`` must be 0).
         """
-        if self.backend_name == "batched":
-            return self.lanes_sim.values(lane)
-        if lane != 0:
-            raise ValueError(
-                f"backend {self.backend_name!r} is single-lane; "
-                f"lane {lane} requested")
-        self._settle()
-        if self.backend_name == "compiled":
-            return list(self._state) + list(self._env)
-        env = self._ienv
-        assert env is not None
-        return [env[sig] for sig in self.value_signals()]
-
-    def add_watcher(self, fn) -> None:
-        """Register a callable invoked (with the simulator) before each step."""
-        self._watchers.append(fn)
-
-    def remove_watcher(self, fn) -> None:
-        """Detach a watcher previously registered with ``add_watcher``."""
-        if fn in self._watchers:
-            self._watchers.remove(fn)
+        return self._be.values(lane)
 
     def run_until(self, sig: SignalLike, value: int = 1, max_cycles: int = 10000) -> int:
         """Step until ``sig == value``; returns cycles waited.

@@ -4,22 +4,20 @@ This backend defines the reference semantics of the netlist: values are
 computed by an explicit operands-first traversal of each expression DAG
 with per-cycle memoisation.  It is deliberately simple — the compiled
 backend (:mod:`repro.hdl.sim.compiler`) is differentially tested against
-it.
+it.  Both share the list layout of :class:`~repro.hdl.sim.core.ListLayout`
+and the state class :class:`~repro.hdl.sim.core.ScalarState`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from ..netlist import Netlist
 from ..nodes import Node, UnknownSignalError, walk
+from .core import ListLayout
 
 
-class InterpBackend:
+class InterpBackend(ListLayout):
     """Evaluate a netlist cycle-by-cycle by direct interpretation."""
-
-    def __init__(self, netlist: Netlist):
-        self.netlist = netlist
 
     def _eval_nodes(self, roots, state, mems, memo) -> None:
         """Evaluate every node reachable from ``roots`` into ``memo``."""
@@ -29,7 +27,7 @@ class InterpBackend:
                 continue
             if node.kind == "signal":
                 try:
-                    memo[nid] = state[node]
+                    memo[nid] = state[self.state_index[node]]
                 except KeyError:
                     raise UnknownSignalError(
                         node.path,
@@ -39,34 +37,30 @@ class InterpBackend:
                 memo[nid] = node.value
             elif node.kind == "memread":
                 addr = memo[id(node.addr)]
-                contents = mems[node.mem]
+                contents = mems[self.mem_index[node.mem]]
                 memo[nid] = contents[addr] if addr < len(contents) else 0
             else:
                 vals = [memo[id(op)] for op in node.operands()]
                 memo[nid] = node.eval_op(vals)
 
-    def eval_comb(self, state: Dict, mems: Dict) -> Dict:
-        """Evaluate all combinational signals; returns the full value map.
-
-        ``state`` maps registers and inputs to ints; the returned dict
-        additionally maps every combinational signal to its value.
-        """
-        env = dict(state)
+    def eval_comb(self, state: List[int], mems, env: List[int]
+                  ) -> Dict[int, int]:
+        """Evaluate every combinational signal into ``env``; returns the
+        node memo (which ``step`` reuses)."""
         memo: Dict[int, int] = {}
         nl = self.netlist
         for sig in nl.comb:
             driver = nl.drivers[sig]
-            self._eval_nodes([driver], env, mems, memo)
-            env[sig] = memo[id(driver)]
-            memo[id(sig)] = env[sig]
-        return env
+            self._eval_nodes([driver], state, mems, memo)
+            value = memo[id(driver)]
+            env[self.comb_index[sig]] = value
+            memo[id(sig)] = value
+        return memo
 
-    def step(self, state: Dict, mems: Dict) -> Dict:
-        """Advance one clock cycle in place; returns the comb environment."""
+    def step(self, state: List[int], mems, env: List[int]) -> None:
+        """Advance one clock cycle in place."""
         nl = self.netlist
-        env = self.eval_comb(state, mems)
-        # Seed the memo with signal values so reg-next evaluation reuses them.
-        memo: Dict[int, int] = {id(sig): value for sig, value in env.items()}
+        memo = self.eval_comb(state, mems, env)
 
         roots: List[Node] = list(nl.reg_next.values())
         for writes in nl.mem_writes.values():
@@ -74,18 +68,17 @@ class InterpBackend:
                 if w.cond is not None:
                     roots.append(w.cond)
                 roots.extend([w.addr, w.data])
-        self._eval_nodes(roots, env, mems, memo)
-
-        for reg, nxt in nl.reg_next.items():
-            state[reg] = memo[id(nxt)]
+        self._eval_nodes(roots, state, mems, memo)
 
         pending = []
         for mem, writes in nl.mem_writes.items():
             for w in writes:
                 if w.cond is None or memo[id(w.cond)] != 0:
-                    pending.append((mem, memo[id(w.addr)], memo[id(w.data)]))
-        for mem, addr, data in pending:
-            contents = mems[mem]
+                    pending.append((self.mem_index[mem], memo[id(w.addr)],
+                                    memo[id(w.data)]))
+        for reg, nxt in nl.reg_next.items():
+            state[self.state_index[reg]] = memo[id(nxt)]
+        for midx, addr, data in pending:
+            contents = mems[midx]
             if addr < len(contents):
                 contents[addr] = data
-        return env

@@ -93,10 +93,7 @@ class Trace:
         self._cycle_index[sim.cycle] = len(self.cycles)
         self.cycles.append(sim.cycle)
         if self._vidx is not None:
-            try:
-                vals = sim.values(self.lane)
-            except TypeError:  # single-lane values() without a lane arg
-                vals = sim.values()
+            vals = sim.values(self.lane)
             self.rows.append([vals[i] for i in self._vidx])
         else:
             self.rows.append([sim.peek(s) for s in self.signals])

@@ -18,12 +18,12 @@ campaign actually touched.  This module measures that, on four planes:
   matrix of a real smoke campaign, and which attribution planes each
   leakage/power/flows/faults scenario registers against.
 
-The :class:`CoverageCollector` rides the same watcher / bulk
-``values()`` hooks as the profiler and
+The :class:`CoverageCollector` is a reducer over the simulator's cycle
+snapshot, which it shares with the profiler and
 :class:`~repro.obs.power.PowerCollector` — nothing in the simulator
 hot path changes when no collector is attached — and is uniform across
-the interp/compiled/batched backends.  On batched it takes the
-vectorized path over the limb arrays and OR-reduces across lanes; the
+the interp/compiled/batched backends.  On batched the snapshot is the
+limb array, OR-reduced across lanes; the
 gate workload drives every lane identically, so the lane-merged map is
 *bit-identical* to the single-lane backends' maps (the cross-backend
 fingerprint check in the CI gate).
@@ -269,29 +269,28 @@ class CoverageCollector:
 
     Attach to a :class:`~repro.hdl.sim.engine.Simulator` (any backend),
     drive the workload, then call :meth:`finish` (or leave the ``with``
-    block) and read :attr:`map`.  Each watcher invocation snapshots
-    every signal (and the writable memories) and ORs the observed
-    rises/falls/values into the map; on the batched backend one
-    vectorized pass over the limb arrays covers all lanes at once.
+    block) and read :attr:`map`.  Each watcher invocation reduces the
+    simulator's cycle snapshot (and its XOR against the previous one)
+    into per-row rise/fall/ever masks, and the writable memories' words
+    into written-address coverage; on the batched backend the rows are
+    limb arrays OR-reduced across lanes in one vectorized pass.  The
+    rows fold back into per-signal masks when the collector detaches.
     """
 
     def __init__(self, sim):
         self.sim = sim
         self.signals = list(sim.value_signals())
         self._paths = [s.path for s in self.signals]
-        self.lanes = getattr(sim, "lanes", 1) or 1
+        self.lanes = sim.lanes
         self.map = CoverageMap()
-        be_name = getattr(sim, "backend_name", "")
-        self.map.backends.append(be_name)
+        self.map.backends.append(getattr(sim, "backend_name", ""))
         for s in self.signals:
             self.map.signals[s.path] = {"width": s.width, "rise": 0,
                                         "fall": 0, "ever": 0}
         # memories: written-addr coverage for every mem with write ports,
         # read-addr coverage for observable read ports
-        self._wmems = sorted(sim.netlist.mem_writes,
-                             key=lambda m: m.path)
-        self._ports, unobserved = _mem_read_ports(sim.netlist)
-        read_mems = {m.path for m, _probe in self._ports}
+        ports, unobserved = _mem_read_ports(sim.netlist)
+        read_mems = {m.path for m, _probe in ports}
         for mem in sim.netlist.mems:
             if mem not in sim.netlist.mem_writes \
                     and mem.path not in read_mems \
@@ -300,12 +299,30 @@ class CoverageCollector:
             self.map.mems[mem.path] = {
                 "depth": mem.depth, "written": 0, "read": 0,
                 "read_observed": mem.path in read_mems}
-        self._sig_index = {p: i for i, p in enumerate(self._paths)}
+        self._rows, limb_bits = sim.value_rows()
+        sig_index = {p: i for i, p in enumerate(self._paths)}
+        # read ports as (entry, depth, snapshot row, shift, mask); a
+        # constant address has no row and sits in the shift slot
+        self._reads = []
+        for mem, probe in ports:
+            entry = self.map.mems[mem.path]
+            if probe[0] == "const":
+                self._reads.append((entry, mem.depth, None, probe[1], -1))
+                continue
+            _tag, sig, shift, width = probe
+            row0, _limbs = self._rows[sig_index[sig.path]]
+            j, sh = divmod(shift, limb_bits) if limb_bits else (0, shift)
+            self._reads.append((entry, mem.depth, row0 + j, sh,
+                                (1 << width) - 1))
+        n_rows = sum(limbs for _row, limbs in self._rows)
+        if limb_bits:
+            self._rise, self._fall, self._ever = (
+                _np.zeros(n_rows, dtype=_np.uint64) for _ in range(3))
+        else:
+            self._rise, self._fall, self._ever = ([0] * n_rows
+                                                  for _ in range(3))
         self._prev = None
         self._prev_mems = None
-        self._use_np = (_np is not None and be_name == "batched")
-        if self._use_np:
-            self._init_np_rows()
         self._attached = True
         sim.add_watcher(self._on_cycle)
 
@@ -317,49 +334,29 @@ class CoverageCollector:
         return False
 
     def detach(self) -> None:
+        """Stop observing and fold the row masks into :attr:`map`."""
         if self._attached:
             self.sim.remove_watcher(self._on_cycle)
             self._attached = False
+            self._fold_rows()
 
     def finish(self) -> CoverageMap:
         """Take one final snapshot (the watcher observes the state
-        *before* each step, so the last step's effects land here), fold
-        the row accumulators into the map, and detach."""
+        *before* each step, so the last step's effects land here), then
+        detach."""
         if self._attached:
             self._observe()
             self.detach()
-            if self._use_np:
-                self._fold_np_rows()
         return self.map
 
-    # -- batched fast path: limb rows <-> signal metadata ------------------------
-    def _init_np_rows(self) -> None:
-        be = self.sim.lanes_sim._be
-        n_rows = be.n_state_rows + be.n_env_rows
-        # (signal index, base row, limb count) per signal, plus three
-        # uint64 accumulators per row — folded back per-signal at finish
-        self._row_of: List[Tuple[int, int, int]] = []
-        for i, sig in enumerate(self.signals):
-            slot = be.state_slot.get(sig)
-            base = 0
-            if slot is None:
-                slot = be.comb_slot[sig]
-                base = be.n_state_rows
-            row0, nlimbs = slot
-            self._row_of.append((i, base + row0, nlimbs))
-        self._rise_rows = _np.zeros(n_rows, dtype=_np.uint64)
-        self._fall_rows = _np.zeros(n_rows, dtype=_np.uint64)
-        self._ever_rows = _np.zeros(n_rows, dtype=_np.uint64)
-        self._mem_slot = be.mem_slot
-
-    def _fold_np_rows(self) -> None:
-        for i, row0, nlimbs in self._row_of:
+    def _fold_rows(self) -> None:
+        for (row0, nlimbs), path in zip(self._rows, self._paths):
             rise = fall = ever = 0
             for j in range(nlimbs):
-                rise |= int(self._rise_rows[row0 + j]) << (64 * j)
-                fall |= int(self._fall_rows[row0 + j]) << (64 * j)
-                ever |= int(self._ever_rows[row0 + j]) << (64 * j)
-            s = self.map.signals[self._paths[i]]
+                rise |= int(self._rise[row0 + j]) << (64 * j)
+                fall |= int(self._fall[row0 + j]) << (64 * j)
+                ever |= int(self._ever[row0 + j]) << (64 * j)
+            s = self.map.signals[path]
             mask = (1 << s["width"]) - 1
             s["rise"] |= rise & mask
             s["fall"] |= fall & mask
@@ -370,105 +367,63 @@ class CoverageCollector:
         self._observe()
 
     def _observe(self) -> None:
-        if self._use_np:
-            self._observe_np()
+        snap = self.sim.snapshot()
+        cur, prev = snap.values, self._prev
+        if isinstance(cur, list):
+            rise, fall, ever = self._rise, self._fall, self._ever
+            if prev is not None:
+                pv = prev.values
+                for i, d in enumerate(snap.diff(prev)):
+                    if d:
+                        rise[i] |= d & cur[i]
+                        fall[i] |= d & pv[i]
+            for i, c in enumerate(cur):
+                ever[i] |= c
         else:
-            self._observe_py()
+            if prev is not None:
+                d = snap.diff(prev)
+                # OR-reduce the per-lane masks across the lane axis: the
+                # merged map covers everything any lane did
+                self._rise |= _np.bitwise_or.reduce(d & cur, axis=1)
+                self._fall |= _np.bitwise_or.reduce(d & prev.values, axis=1)
+            self._ever |= _np.bitwise_or.reduce(cur, axis=1)
+        self._prev = snap
+        self._observe_mems(snap)
         self.map.cycles += 1
 
-    def _observe_py(self) -> None:
-        snap = self.sim.values(0)
-        sigs = self.map.signals
-        prev = self._prev
-        if prev is None:
-            for i, p in enumerate(self._paths):
-                sigs[p]["ever"] |= snap[i]
-        else:
-            for i, p in enumerate(self._paths):
-                c = snap[i]
-                s = sigs[p]
-                d = prev[i] ^ c
-                if d:
-                    s["rise"] |= d & c
-                    s["fall"] |= d & prev[i]
-                s["ever"] |= c
-        self._prev = snap
-        self._observe_mems_py(snap)
-
-    def _mem_snapshot_py(self) -> List[List[int]]:
-        sim = self.sim
-        if sim.backend_name == "compiled":
-            idx = sim._be.mem_index
-            return [list(sim._mems[idx[m]]) for m in self._wmems]
-        return [list(sim._imems[m]) for m in self._wmems]
-
-    def _observe_mems_py(self, snap) -> None:
-        cur = self._mem_snapshot_py()
+    def _observe_mems(self, snap) -> None:
+        cur = snap.mems
         prev = self._prev_mems
         if prev is not None:
-            for k, mem in enumerate(self._wmems):
-                pm, cm = prev[k], cur[k]
-                if pm != cm:
-                    entry = self.map.mems[mem.path]
-                    for a in range(mem.depth):
-                        if pm[a] != cm[a]:
-                            entry["written"] |= 1 << a
-        self._prev_mems = cur
-        for mem, probe in self._ports:
-            if probe[0] == "const":
-                addr = probe[1]
-            else:
-                _tag, sig, shift, width = probe
-                addr = (snap[self._sig_index[sig.path]] >> shift) \
-                    & ((1 << width) - 1)
-            if addr < mem.depth:
-                self.map.mems[mem.path]["read"] |= 1 << addr
-
-    def _observe_np(self) -> None:
-        ls = self.sim.lanes_sim
-        ls._settle()
-        snap = _np.concatenate([ls._state, ls._env], axis=0).copy()
-        prev = self._prev
-        if prev is not None:
-            d = prev ^ snap
-            # OR-reduce the per-lane masks across the lane axis: the
-            # merged map covers everything any lane did
-            self._rise_rows |= _np.bitwise_or.reduce(d & snap, axis=1)
-            self._fall_rows |= _np.bitwise_or.reduce(d & prev, axis=1)
-        self._ever_rows |= _np.bitwise_or.reduce(snap, axis=1)
-        self._prev = snap
-        self._observe_mems_np(snap, ls)
-
-    def _observe_mems_np(self, snap, ls) -> None:
-        cur = []
-        for mem in self._wmems:
-            row0, nlimbs = self._mem_slot[mem]
-            cur.append([ls._mems[row0 + j].copy() for j in range(nlimbs)])
-        prev = self._prev_mems
-        if prev is not None:
-            for k, mem in enumerate(self._wmems):
+            for mem, planes in cur.items():
                 entry = self.map.mems[mem.path]
-                for pm, cm in zip(prev[k], cur[k]):
-                    changed = _np.nonzero((pm != cm).any(axis=1))[0]
-                    for a in changed:
-                        entry["written"] |= 1 << int(a)
+                for pm, cm in zip(prev[mem], planes):
+                    for a in _changed_addrs(pm, cm):
+                        entry["written"] |= 1 << a
         self._prev_mems = cur
-        for mem, probe in self._ports:
-            entry = self.map.mems[mem.path]
-            if probe[0] == "const":
-                if probe[1] < mem.depth:
-                    entry["read"] |= 1 << probe[1]
-                continue
-            _tag, sig, shift, width = probe
-            i = self._sig_index[sig.path]
-            _idx, row0, _nlimbs = self._row_of[i]
-            j, sh = divmod(shift, 64)
-            vals = snap[row0 + j] >> _np.uint64(sh)
-            mask = (1 << width) - 1
-            for lane in range(self.lanes):
-                addr = int(vals[lane]) & mask
-                if addr < mem.depth:
+        values = snap.values
+        scalar = isinstance(values, list)
+        for entry, depth, row, sh, mask in self._reads:
+            if row is None:
+                lanes = (sh,)
+            elif scalar:
+                lanes = (values[row] >> sh,)
+            else:
+                lanes = (values[row] >> _np.uint64(sh)).tolist()
+            for v in lanes:
+                addr = v & mask
+                if addr < depth:
                     entry["read"] |= 1 << addr
+
+
+def _changed_addrs(prev, cur) -> List[int]:
+    """Addresses whose word differs between two limb planes (a list of
+    words, or a ``[depth, lanes]`` array)."""
+    if isinstance(cur, list):
+        if prev == cur:
+            return []
+        return [a for a, (p, c) in enumerate(zip(prev, cur)) if p != c]
+    return _np.nonzero((prev != cur).any(axis=1))[0].tolist()
 
 
 # -- the gate workload -------------------------------------------------------------

@@ -312,10 +312,22 @@ def compare_with_history(history_path: str,
                          gauges: Dict[GaugeKey, float],
                          tolerance: float = DEFAULT_TOLERANCE
                          ) -> HistoryComparison:
-    """Diff ``gauges`` against the most recent ledger entry."""
+    """Diff each gauge against the last ledger entry that recorded it.
+
+    One run's artifacts need not carry every gauge family, so diffing
+    against the most recent entry alone would make every family it
+    lacks read as new (and never regress).  Gauges recorded only before
+    the most recent entry and absent from ``gauges`` are left out, so
+    :attr:`HistoryComparison.missing` still names what the previous run
+    had.
+    """
     entries = read_history(history_path)
     previous = entries[-1] if entries else None
-    before = _entry_gauges(previous) if previous else {}
+    last_seen: Dict[GaugeKey, float] = {}
+    for entry in entries:
+        last_seen.update(_entry_gauges(entry))
+    keep = set(gauges) | set(_entry_gauges(previous) if previous else ())
+    before = {k: v for k, v in last_seen.items() if k in keep}
     return HistoryComparison(diff_gauges(before, gauges),
                              tolerance=tolerance, previous_entry=previous,
                              missing_families=missing_families(gauges))

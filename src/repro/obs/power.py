@@ -7,16 +7,17 @@ architectural estimate that switching activity dominates dynamic power:
 
 * **Hamming distance (HD)** — per cycle, the number of bits that
   changed across every signal in the design (``popcount(prev ^ cur)``
-  summed over the bulk :meth:`~repro.hdl.sim.engine.Simulator.values`
-  snapshot);
+  summed over the simulator's cycle
+  :meth:`~repro.hdl.sim.core.SimCore.snapshot`);
 * **weighted toggles** — the same transitions weighted by each signal's
   expression-node cost (:func:`~repro.obs.profile.signal_costs`), a
   fan-in proxy for the capacitance each flip drives.
 
 :class:`PowerCollector` captures both uniformly on all three backends
-(interp / compiled / batched) by riding the same watcher + bulk-snapshot
-path the profiler uses; on the batched backend it reads the limb arrays
-directly (vectorised XOR + popcount) and yields **one trace per lane**,
+(interp / compiled / batched) as a reducer over the cycle snapshot and
+its XOR, which the profiler and the coverage collector share; on the
+batched backend the snapshot is the limb array (vectorised popcount)
+and yields **one trace per lane**,
 so thousands of traces come from a handful of batched runs.  Every
 sample is attributed to a group (:func:`power_group`): datapath, key
 schedule, scratchpad, control, or the synthesized shadow-tag plane
@@ -71,6 +72,8 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is a test extra
     _np = None
+#: the vectorised reducer needs ``bitwise_count`` (numpy >= 2.0)
+_HAVE_BITCOUNT = _np is not None and hasattr(_np, "bitwise_count")
 
 #: Random traces for the CPA budget (the gate's "within budget").
 DEFAULT_TRACES = 512
@@ -120,8 +123,9 @@ class PowerCollector:
 
     Attach to a :class:`~repro.hdl.sim.engine.Simulator` (any backend);
     call :meth:`start_trace` before driving each measurement, then step.
-    Each watcher invocation snapshots every signal and appends one
-    (HD, weighted) point per lane to the open trace.  Nothing is
+    Each watcher invocation reduces the simulator's cycle snapshot XOR
+    the previous one to one (HD, weighted) point per lane of the open
+    trace.  Nothing is
     recorded until the first :meth:`start_trace`.
 
     ``traces_hd[t][lane]`` is the HD point series of lane ``lane`` in
@@ -140,17 +144,25 @@ class PowerCollector:
         # drive fan-out; floor every weight at 1 so the weighted series
         # never silently ignores a toggling signal
         self.weights = [max(1, int(costs.get(s, 0))) for s in self.signals]
-        self.lanes = getattr(sim, "lanes", 1) or 1
+        self.lanes = sim.lanes
         self.traces_hd: List[List[List[int]]] = []
         self.traces_weighted: List[List[List[int]]] = []
         self.group_hd: Dict[str, int] = {g: 0 for g in self.group_names}
         self.cycles_observed = 0
         self._prev = None
-        self._use_np = (_np is not None
-                        and getattr(sim, "backend_name", "") == "batched"
-                        and hasattr(_np, "bitwise_count"))
-        if self._use_np:
-            self._init_np_rows()
+        # per snapshot row (one per limb on the batched backend)
+        row_w, row_g = [], []
+        for (_row, limbs), w, g in zip(sim.value_rows()[0], self.weights,
+                                       self.groups):
+            row_w += [w] * limbs
+            row_g += [g] * limbs
+        self._row_w, self._row_g = row_w, row_g
+        if _HAVE_BITCOUNT:
+            self._row_weights = _np.array(row_w, dtype=_np.int64)
+            self._group_rows = {
+                g: _np.array([r for r, rg in enumerate(row_g) if rg == g],
+                             dtype=_np.intp)
+                for g in self.group_names}
         self._attached = True
         sim.add_watcher(self._on_cycle)
 
@@ -166,27 +178,6 @@ class PowerCollector:
             self.sim.remove_watcher(self._on_cycle)
             self._attached = False
 
-    # -- batched fast path: limb-array rows -> signal metadata ------------------
-    def _init_np_rows(self) -> None:
-        be = self.sim.lanes_sim._be
-        n_rows = be.n_state_rows + be.n_env_rows
-        weights = _np.zeros(n_rows, dtype=_np.int64)
-        group_rows: Dict[str, List[int]] = {g: [] for g in self.group_names}
-        for i, sig in enumerate(self.signals):
-            slot = be.state_slot.get(sig)
-            base = 0
-            if slot is None:
-                slot = be.comb_slot[sig]
-                base = be.n_state_rows
-            row0, nlimbs = slot
-            for j in range(nlimbs):
-                row = base + row0 + j
-                weights[row] = self.weights[i]
-                group_rows[self.groups[i]].append(row)
-        self._row_weights = weights
-        self._group_rows = {g: _np.array(rows, dtype=_np.intp)
-                            for g, rows in group_rows.items() if rows}
-
     # -- capture ----------------------------------------------------------------
     def start_trace(self) -> None:
         """Open a new trace: the next snapshot becomes its reference."""
@@ -197,28 +188,26 @@ class PowerCollector:
     def _on_cycle(self, sim) -> None:
         if not self.traces_hd:
             return  # idle until the first start_trace()
-        if self._use_np:
-            ls = self.sim.lanes_sim
-            ls._settle()
-            snap = _np.concatenate([ls._state, ls._env], axis=0).copy()
-            if self._prev is not None:
-                self._accumulate_np(self._prev, snap)
-        else:
-            snap = [self.sim.values(lane) for lane in range(self.lanes)]
-            if self._prev is not None:
-                self._accumulate(self._prev, snap)
+        snap = self.sim.snapshot()
+        if self._prev is not None:
+            d = snap.diff(self._prev)
+            if isinstance(d, list):
+                self._accumulate([d])
+            elif _HAVE_BITCOUNT:
+                self._accumulate_np(d)
+            else:  # pragma: no cover - numpy < 2.0
+                self._accumulate(d.T.tolist())
         self._prev = snap
         self.cycles_observed += 1
 
-    def _accumulate(self, prev, cur) -> None:
+    def _accumulate(self, lane_rows) -> None:
+        """Pure-Python reducer over each lane's XOR rows."""
         hd_tr = self.traces_hd[-1]
         wt_tr = self.traces_weighted[-1]
-        groups, weights, ghd = self.groups, self.weights, self.group_hd
-        for lane in range(self.lanes):
-            pl, cl = prev[lane], cur[lane]
+        groups, weights, ghd = self._row_g, self._row_w, self.group_hd
+        for lane, dl in enumerate(lane_rows):
             hd = wt = 0
-            for i, c in enumerate(cl):
-                d = pl[i] ^ c
+            for i, d in enumerate(dl):
                 if d:
                     bits = bin(d).count("1")
                     hd += bits
@@ -227,8 +216,8 @@ class PowerCollector:
             hd_tr[lane].append(hd)
             wt_tr[lane].append(wt)
 
-    def _accumulate_np(self, prev, cur) -> None:
-        pc = _np.bitwise_count(prev ^ cur).astype(_np.int64)
+    def _accumulate_np(self, d) -> None:
+        pc = _np.bitwise_count(d).astype(_np.int64)
         hd_per_lane = pc.sum(axis=0)
         wt_per_lane = (pc * self._row_weights[:, None]).sum(axis=0)
         for g, rows in self._group_rows.items():
@@ -473,8 +462,9 @@ def _campaign_key(seed: int) -> int:
 
 
 def _poke_lane(sim, sig: str, lane: int, value: int) -> None:
-    if getattr(sim, "backend_name", "") == "batched":
-        sim.lanes_sim.poke(sig, lane, value)
+    lanes_sim = getattr(sim, "lanes_sim", None)
+    if lanes_sim is not None:
+        lanes_sim.poke(sig, lane, value)
     else:
         sim.poke(sig, value)
 

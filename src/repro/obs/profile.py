@@ -3,9 +3,10 @@
 Answers "where do simulated cycles go?" for any of the three backends
 (interp / compiled / batched) without touching generated code: a
 :class:`SimProfiler` attaches to a :class:`~repro.hdl.sim.Simulator` as
-a watcher and, every ``sample_interval`` cycles, snapshots every signal
-through the engine's bulk :meth:`~repro.hdl.sim.engine.Simulator.values`
-primitive.  From the snapshots it derives
+a watcher and, every ``sample_interval`` cycles, reads the simulator's
+cycle :meth:`~repro.hdl.sim.core.SimCore.snapshot` (shared with the power
+and coverage collectors) and its XOR against the previous sample.  From
+these it derives
 
 * **toggle activity** — per-net value-change counts, aggregated up the
   module hierarchy and bucketed into cycle windows (the switching
@@ -232,7 +233,7 @@ class SimProfiler:
         self.wall_seconds = 0.0
         self._windows: Dict[int, Dict[str, int]] = {}
         self._hwindows: Dict[int, Dict[str, int]] = {}
-        self._prev: Optional[List[int]] = None
+        self._prev = None
         self._last_ts: Optional[float] = None
         self._attached = True
         sim.add_watcher(self._on_cycle)
@@ -260,7 +261,7 @@ class SimProfiler:
             self.wall_seconds += now - self._last_ts
         cycle = sim.cycle
         if cycle % self.sample_interval == 0:
-            vals = sim.values()
+            snap = self.sim.snapshot()
             prev = self._prev
             if prev is not None:
                 toggles = self.toggles
@@ -268,14 +269,15 @@ class SimProfiler:
                 start = (cycle // self.window) * self.window
                 wslot = self._windows.setdefault(start, {})
                 hslot = self._hwindows.setdefault(start, {})
-                for i, v in enumerate(vals):
-                    if v != prev[i]:
+                # lane 0 of the shared cycle XOR, one int per signal
+                for i, d in enumerate(snap.signals(snap.diff(prev))):
+                    if d:
                         toggles[i] += 1
                         group = subsystems[i]
                         wslot[group] = wslot.get(group, 0) + 1
-                        hd = bin(v ^ prev[i]).count("1")
-                        hslot[group] = hslot.get(group, 0) + hd
-            self._prev = vals
+                        hslot[group] = hslot.get(group, 0) + \
+                            bin(d).count("1")
+            self._prev = snap
             self.cycles_sampled += 1
         # exclude our own sampling cost from the attributed wall time
         self._last_ts = perf_counter()

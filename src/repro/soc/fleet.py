@@ -248,6 +248,10 @@ class ShardServer:
         self._traces: Dict[int, Optional[str]] = {}
         self._ev_cursor = 0
         self._m_sent: Dict[Tuple[str, tuple], float] = {}
+        #: a provisioning attempt of this round timed out and ``in_ready``
+        #: has not read 1 since: the pipeline is wedged, so the round's
+        #: other attempts would only burn the driver's full wait again
+        self._provision_stalled = False
 
     # -- seating --------------------------------------------------------------
     def _seat_of(self, tenant: str) -> Optional[str]:
@@ -276,10 +280,14 @@ class ShardServer:
                     break
         if target is None:
             return None
+        sim, top = self.core.driver.sim, self.core.driver.top
+        if self._provision_stalled:
+            if not sim.peek(f"{top}.in_ready"):
+                return None  # still wedged: defer without stepping
+            self._provision_stalled = False
         # (re)provision the seat: slot ownership + the tenant's key.
         # out_ready is held low for the duration so no in-flight block
         # of another seat is consumed by the driver's own step loop.
-        sim, top = self.core.driver.sim, self.core.driver.top
         prov_start = sim.cycle
         sim.poke(f"{top}.out_ready", 0)
         try:
@@ -288,6 +296,9 @@ class ShardServer:
                                            principal.tag, self._sup_tag)
             self.core.driver.load_key(principal.tag,
                                       self._slot_of[target], key)
+        except TimeoutError:
+            self._provision_stalled = True
+            raise
         finally:
             sim.poke(f"{top}.out_ready", 1)
         if self.wtel is not None:
@@ -324,6 +335,9 @@ class ShardServer:
         wtel = self.wtel
         start = core.driver.sim.cycle
         deferred: List[int] = []
+        # at most one timed-out provisioning per round: the next round
+        # tries again, since the wedge may have cleared by then
+        self._provision_stalled = False
         # group by tenant so one seat operation covers a whole burst
         for spec in sorted(submissions, key=lambda s: (s["tenant"], s["id"])):
             try:

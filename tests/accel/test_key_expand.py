@@ -80,9 +80,7 @@ class TestFunctional:
         sim_state_tag = user_label("p2").encode()
         # (simulate via the register directly)
         reg = sim.netlist.signal_by_path("keyexp.slot_tag_1")
-        idx = sim._be.state_index[reg]
-        sim._state[idx] = sim_state_tag
-        sim._dirty = True
+        sim._be.poke(reg, sim_state_tag)  # the backend writes any state slot
         before = [sim.peek_mem("keyexp.rk_mem_1", i) for i in range(11)]
         sim.step(12)
         after = [sim.peek_mem("keyexp.rk_mem_1", i) for i in range(11)]

@@ -112,7 +112,7 @@ class TestBatchCompileCache:
         b2 = BatchSimulator(nl2, lanes=8)
         stats = batch_cache_stats()
         assert stats["hits"] == 1 and stats["entries"] == 1
-        assert b1._be.source == b2._be.source
+        assert b1._be.kernel.source == b2._be.kernel.source
 
     def test_distinct_designs_get_distinct_entries(self):
         clear_batch_cache()

@@ -161,6 +161,22 @@ class TestLedger:
         d = cmp_.to_dict()
         assert d["regressions"][0]["before"] == 200.0
 
+    def test_each_gauge_diffs_against_its_last_recording(self, tmp_path):
+        """A ledger whose latest entry holds one gauge family must still
+        compare the other families against their last recorded values."""
+        ledger = str(tmp_path / "h.jsonl")
+        sim = gauge_key("m_cycles_per_second", {"backend": "compiled"})
+        fleet = gauge_key("fleet_goodput_gbps", {})
+        append_history(ledger, {sim: 100.0}, timestamp=1.0)
+        append_history(ledger, {sim: 200.0}, timestamp=2.0)
+        append_history(ledger, {fleet: 5.0}, timestamp=3.0)  # fleet only
+        cmp_ = compare_with_history(ledger, {sim: 100.0, fleet: 5.0})
+        assert [d.metric for d in cmp_.regressions] == ["m_cycles_per_second"]
+        assert cmp_.regressions[0].before == 200.0
+        assert cmp_.missing == []
+        assert "0 new" in cmp_.render()
+        assert cmp_.previous_entry["timestamp"] == 3.0
+
     def test_improvement_reported(self, tmp_path):
         ledger = str(tmp_path / "h.jsonl")
         key = gauge_key("m_latency_cycles", {})

@@ -128,3 +128,43 @@ class TestFleetServing:
         report.kills_injected = 5  # pretend more chaos was scheduled
         recomputed = (report.supervisor["kills_detected"] >= 5)
         assert not recomputed
+
+
+class TestWedgedProvisioning:
+    def test_wedged_shard_waits_once_per_round(self, monkeypatch):
+        """After a seat-provisioning attempt times out on a wedged
+        pipeline, the shard defers the round's other seatings without
+        stepping while ``in_ready`` reads 0, instead of running out the
+        driver's full wait once per submission."""
+        from repro.accel.driver import AcceleratorDriver
+        from repro.soc.fleet import ShardServer, run_fleet_gate
+
+        where = [None]
+        timeouts = []
+        run_round = ShardServer.run_round
+
+        def counted_round(self, *args, **kwargs):
+            where[0] = (id(self), self.core.driver.sim.cycle)
+            return run_round(self, *args, **kwargs)
+
+        def counted(orig):
+            def call(self, *args, **kwargs):
+                try:
+                    return orig(self, *args, **kwargs)
+                except TimeoutError:
+                    timeouts.append(where[0])
+                    raise
+            return call
+
+        monkeypatch.setattr(ShardServer, "run_round", counted_round)
+        # seat provisioning = slot allocation, then the key load
+        for name in ("allocate_slot", "load_key"):
+            monkeypatch.setattr(AcceleratorDriver, name,
+                                counted(getattr(AcceleratorDriver, name)))
+        report = run_fleet_gate(seed=424242, shards=2, horizon=512,
+                                tenants=4, workers="inline", kills=1,
+                                wedges=1, check_ifc=False)
+        assert report.wedges_injected == 1
+        assert timeouts, "the wedge never stalled a provisioning attempt"
+        assert len(set(timeouts)) == len(timeouts), \
+            "a round ran out the driver's wait more than once"
