@@ -84,7 +84,7 @@ def _run(backend, kinds):
 
 
 def _count_captures(monkeypatch):
-    """Patch every backend state's snapshot builder to count its calls."""
+    """Patch every backend state's snapshot capture to count its calls."""
     from repro.hdl.sim.batched import LaneState
 
     calls = []
